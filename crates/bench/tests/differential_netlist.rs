@@ -11,12 +11,16 @@
 //! * `topo::gate_order` / `topo::levelize` vs. a reference Kahn ordering
 //!   over a freshly-built `Vec<Vec<u32>>` fanout map (bit-identical order);
 //! * `cone::fanin_cone` (shared epoch scratch) vs. a set-based DFS;
+//! * `stg::RegisterGraph::build` (64-lane word propagation) vs. one cone
+//!   walk per flip-flop, edge for edge, on plain, encrypted and fully locked
+//!   designs, designs straddling the 64/128-register chunk boundaries, and
+//!   randomly mutated (including combinationally cyclic) netlists;
 //! * `unroll` determinism and stability across a `.bench` round-trip;
 //! * packed simulation vs. the scalar engine, lane by lane;
 //! * fixtures pinned via `sim::equiv` across all three circuit formats;
 //! * SAT-attack key recovery (deterministic, and the key restores function).
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,8 +28,9 @@ use rand::{Rng, SeedableRng};
 
 use attacks::{AttackStatus, SatAttack, SatAttackConfig};
 use benchgen::{CircuitProfile, TABLE1_PROFILES};
-use netlist::{cone, topo, unroll, Driver, GateId, GateKind, NetId, Netlist};
+use netlist::{cone, topo, unroll, Driver, GateId, GateKind, NetId, Netlist, RegClass};
 use sim::{PackedSimulator, Simulator};
+use stg::RegisterGraph;
 use trilock::{encrypt, TriLockConfig};
 
 /// Every benchgen profile at test scale: the ten Table I circuits scaled
@@ -108,6 +113,97 @@ fn naive_fanin_cone(nl: &Netlist, net: NetId) -> cone::FaninCone {
     result.registers.sort_unstable();
     result.nets.sort_unstable();
     result
+}
+
+/// Register connection graph built the pre-propagation way: one fan-in cone
+/// walk per flip-flop, edges collected through ordered sets. Returns
+/// `(successors, predecessors, classes)`.
+fn naive_register_graph(nl: &Netlist) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<RegClass>) {
+    let n = nl.num_dffs();
+    let mut successors: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    let mut scratch = cone::ConeScratch::new();
+    for (target, dff) in nl.dffs().iter().enumerate() {
+        let Some(d) = dff.d else { continue };
+        for src in cone::fanin_cone_with(nl, d, &mut scratch).registers {
+            successors[src.index()].insert(target);
+        }
+    }
+    let successors: Vec<Vec<usize>> = successors
+        .into_iter()
+        .map(|set| set.into_iter().collect())
+        .collect();
+    let mut predecessors: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (src, succs) in successors.iter().enumerate() {
+        for &dst in succs {
+            predecessors[dst].push(src);
+        }
+    }
+    let classes = nl.dffs().iter().map(|d| d.class).collect();
+    (successors, predecessors, classes)
+}
+
+/// Asserts that `RegisterGraph::build` matches [`naive_register_graph`]
+/// edge for edge.
+fn check_register_graph(nl: &Netlist, what: &str) {
+    let graph = RegisterGraph::build(nl);
+    let (successors, predecessors, classes) = naive_register_graph(nl);
+    assert_eq!(graph.num_nodes(), nl.num_dffs(), "{what}: node count");
+    for node in 0..nl.num_dffs() {
+        assert_eq!(
+            graph.successors(node),
+            successors[node].as_slice(),
+            "{what}: successors of register {node}"
+        );
+        assert_eq!(
+            graph.predecessors(node),
+            predecessors[node].as_slice(),
+            "{what}: predecessors of register {node}"
+        );
+        assert_eq!(graph.class(node), classes[node], "{what}: class of {node}");
+    }
+}
+
+/// Checks the register graph of `original`, of its encryption and of the
+/// full lock flow (encryption plus S = 10 re-encoded pairs).
+fn check_register_graph_through_lock(original: &Netlist, what: &str, seed: u64) {
+    check_register_graph(original, &format!("{what} plain"));
+    let config = TriLockConfig::new(2, 1).with_alpha(0.6);
+    let encrypted = encrypt(original, &config, &mut StdRng::seed_from_u64(seed)).expect("encrypts");
+    check_register_graph(&encrypted.netlist, &format!("{what} encrypted"));
+    let locked = trilock::lock(original, &config, &mut StdRng::seed_from_u64(seed)).expect("locks");
+    check_register_graph(&locked.locked.netlist, &format!("{what} locked"));
+}
+
+#[test]
+fn register_graph_matches_cone_walks_on_all_profiles() {
+    for profile in TABLE1_PROFILES.iter().map(|p| p.scaled_down(64)) {
+        let nl = benchgen::generate(&profile, 0x5CC).expect("generates");
+        check_register_graph_through_lock(&nl, profile.name, 3);
+    }
+}
+
+#[test]
+fn register_graph_matches_cone_walks_on_a_20k_gate_design() {
+    let nl = benchgen::generate(&CircuitProfile::large(20_000), 7).expect("generates");
+    check_register_graph(&nl, "large(20000)");
+}
+
+/// Register counts on both sides of every 64-lane chunk boundary up to three
+/// chunks.
+#[test]
+fn register_graph_matches_cone_walks_across_chunk_boundaries() {
+    for dffs in [63, 64, 65, 127, 128, 129, 192, 193] {
+        let profile = CircuitProfile {
+            name: "chunks",
+            inputs: 8,
+            outputs: 8,
+            dffs,
+            gates: 6 * dffs,
+        };
+        let nl = benchgen::generate(&profile, dffs as u64).expect("generates");
+        assert_eq!(nl.num_dffs(), dffs);
+        check_register_graph_through_lock(&nl, &format!("{dffs} registers"), 5);
+    }
 }
 
 /// Asserts every analysis invariant of one netlist. Returns the parsed
@@ -308,6 +404,32 @@ fn apply_mutation(nl: &mut Netlist, op: (u8, u16, u16)) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The register graph of randomly mutated netlists matches the cone
+    /// walks. A final `replace_net_uses` makes some gate read its own output,
+    /// so every case is also checked with a combinational cycle.
+    #[test]
+    fn register_graph_survives_random_mutation(
+        ops in proptest::collection::vec(
+            (0u8..=255u8, 0u16..=999u16, 0u16..=999u16),
+            1..40,
+        ),
+        loop_at in 0u16..=999u16,
+    ) {
+        let mut nl = benchgen::small::toy_controller(2).expect("toy circuit");
+        for op in ops {
+            apply_mutation(&mut nl, op);
+        }
+        check_register_graph(&nl, "mutated");
+        let gate = (0..nl.num_gates())
+            .map(|i| GateId::from_index((loop_at as usize + i) % nl.num_gates()))
+            .find(|&g| !nl.gate_fanins(g).is_empty())
+            .expect("the toy circuit has gates with inputs");
+        let fanin = nl.gate_fanins(gate)[0];
+        nl.replace_net_uses(fanin, nl.gate_output(gate)).expect("valid ids");
+        prop_assert!(topo::gate_order(&nl).is_err(), "loop closing made no cycle");
+        check_register_graph(&nl, "mutated with a cycle");
+    }
 
     /// Interleaved mutation/read sessions keep the cached fanout CSR exactly
     /// in sync with a naive rebuild. Reading the CSR *between* mutations is

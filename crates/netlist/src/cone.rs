@@ -2,9 +2,7 @@
 //!
 //! These traversals stop at *sequential boundaries*: primary inputs and
 //! flip-flop `Q` pins terminate a backward traversal, flip-flop `D` pins and
-//! primary outputs terminate a forward traversal. They are the building block
-//! of the register connection graph used by the removal-attack analysis
-//! (paper Section III-C).
+//! primary outputs terminate a forward traversal.
 
 use crate::ids::{DffId, NetId};
 use crate::model::{Driver, FanoutCsr, Netlist};
@@ -22,8 +20,8 @@ pub struct FaninCone {
 
 /// Reusable traversal state for [`fanin_cone_with`]: epoch-stamped visited
 /// marks (bumping the epoch clears all marks in O(1)) plus the DFS stack.
-/// Callers extracting many cones from one netlist — e.g. the register graph,
-/// which walks a cone per flip-flop — allocate one scratch and reuse it.
+/// Callers extracting many cones from one netlist allocate one scratch and
+/// reuse it.
 #[derive(Debug, Clone, Default)]
 pub struct ConeScratch {
     net_stamp: Vec<u32>,
@@ -112,25 +110,6 @@ pub fn fanin_cone_with(netlist: &Netlist, net: NetId, scratch: &mut ConeScratch)
     cone
 }
 
-/// Registers that combinationally feed the `D` pin of `target`.
-///
-/// Returns an empty vector if the flip-flop is unbound.
-pub fn register_fanin(netlist: &Netlist, target: DffId) -> Vec<DffId> {
-    register_fanin_with(netlist, target, &mut ConeScratch::new())
-}
-
-/// Like [`register_fanin`], but reuses caller-provided traversal state.
-pub fn register_fanin_with(
-    netlist: &Netlist,
-    target: DffId,
-    scratch: &mut ConeScratch,
-) -> Vec<DffId> {
-    match netlist.dff(target).d {
-        Some(d) => fanin_cone_with(netlist, d, scratch).registers,
-        None => Vec::new(),
-    }
-}
-
 /// The netlist's cached fanout adjacency: for every net, the indices of the
 /// gates reading it (one entry per fanin occurrence). This is a view of the
 /// CSR cache shared with [`crate::topo::gate_order`]; see
@@ -191,16 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn register_fanin_reports_feeding_registers() {
-        let nl = fixture();
-        assert_eq!(
-            register_fanin(&nl, DffId::from_index(0)),
-            vec![DffId::from_index(1)]
-        );
-        assert!(register_fanin(&nl, DffId::from_index(1)).is_empty());
-    }
-
-    #[test]
     fn fanout_counts_include_outputs_and_dff_d() {
         let nl = fixture();
         let counts = fanout_counts(&nl);
@@ -230,12 +199,6 @@ mod tests {
                 fanin_cone(&nl, net),
                 "cone of {} diverges under scratch reuse",
                 nl.net_label(net)
-            );
-        }
-        for dff in nl.dff_ids() {
-            assert_eq!(
-                register_fanin_with(&nl, dff, &mut scratch),
-                register_fanin(&nl, dff)
             );
         }
     }

@@ -13,6 +13,26 @@ use crate::NetlistError;
 /// Returns [`NetlistError::CombinationalCycle`] if the combinational logic is
 /// cyclic.
 pub fn gate_order(netlist: &Netlist) -> Result<Vec<GateId>, NetlistError> {
+    let (order, unordered) = partial_gate_order(netlist);
+    match unordered.first() {
+        Some(&offender) => {
+            let net = netlist.gate_output(offender);
+            Err(NetlistError::CombinationalCycle(
+                netlist.net_label(net).to_string(),
+            ))
+        }
+        None => Ok(order),
+    }
+}
+
+/// Kahn's algorithm without the cycle check. Returns `(ordered, unordered)`:
+/// the gates that can be ordered, in the order [`gate_order`] returns them,
+/// and the rest in ascending index order. The rest is empty unless there is
+/// a combinational cycle; then it holds every gate on a cycle or downstream
+/// of one. No unordered gate drives an ordered one, so analyses that
+/// tolerate cycles can evaluate the ordered gates first and then settle the
+/// remainder.
+pub fn partial_gate_order(netlist: &Netlist) -> (Vec<GateId>, Vec<GateId>) {
     let num_gates = netlist.num_gates();
     // in-degree of each gate = number of inputs driven by other gates
     let mut indegree = vec![0u32; num_gates];
@@ -45,18 +65,15 @@ pub fn gate_order(netlist: &Netlist) -> Result<Vec<GateId>, NetlistError> {
             }
         }
     }
-
-    if order.len() != num_gates {
-        // Find a gate still having unsatisfied dependencies to report.
-        let offender = (0..num_gates)
-            .find(|&g| indegree[g] > 0)
-            .expect("cycle implies a gate with positive in-degree");
-        let net = netlist.gate_output(GateId::from_index(offender));
-        return Err(NetlistError::CombinationalCycle(
-            netlist.net_label(net).to_string(),
-        ));
-    }
-    Ok(order)
+    let unordered = if order.len() == num_gates {
+        Vec::new()
+    } else {
+        (0..num_gates)
+            .filter(|&g| indegree[g] > 0)
+            .map(GateId::from_index)
+            .collect()
+    };
+    (order, unordered)
 }
 
 /// Logic level of every net: primary inputs, constants and flip-flop outputs
@@ -172,6 +189,25 @@ mod tests {
         nl.add_gate_driving(GateKind::Or, &[y, a], x).unwrap();
         assert!(gate_order(&nl).is_err());
         assert!(levelize(&nl).is_err());
+    }
+
+    #[test]
+    fn partial_order_keeps_the_acyclic_prefix() {
+        let mut nl = Netlist::new("cyc");
+        let a = nl.add_input("a");
+        let pre = nl.add_gate(GateKind::Not, &[a], "pre").unwrap();
+        let x = nl.declare_net("x").unwrap();
+        let y = nl.add_gate(GateKind::And, &[pre, x], "y").unwrap();
+        nl.add_gate_driving(GateKind::Or, &[y, a], x).unwrap();
+        nl.add_gate(GateKind::Buf, &[x], "post").unwrap();
+        // Only `pre` is upstream of the y/x loop; `post` is downstream of it.
+        let (ordered, unordered) = partial_gate_order(&nl);
+        assert_eq!(ordered, vec![GateId::from_index(0)]);
+        assert_eq!(unordered, [1, 2, 3].map(GateId::from_index));
+        assert!(matches!(
+            gate_order(&nl),
+            Err(NetlistError::CombinationalCycle(net)) if net == "y"
+        ));
     }
 
     #[test]
