@@ -20,7 +20,7 @@ use netlist::Netlist;
 
 use crate::packed::{self, PackedSimulator, LANES};
 use crate::simulator::{check_same_interface, SimError, Simulator};
-use crate::stimulus::{self, Sequence};
+use crate::stimulus;
 
 /// A witness that two circuits differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,13 +144,13 @@ pub fn key_restores_function<R: Rng + ?Sized>(
     check_same_interface(original, locked)?;
     let width = original.num_inputs();
     let key_words = packed::broadcast_sequence(key);
+    let mut input_words = vec![vec![0u64; width]; cycles];
     let mut done = 0usize;
     while done < sequences {
         let lanes = (sequences - done).min(LANES);
-        let drawn: Vec<Sequence> = (0..lanes)
-            .map(|_| stimulus::random_sequence(rng, width, cycles))
-            .collect();
-        let input_words = packed::pack_sequences(&drawn);
+        for lane in 0..lanes {
+            stimulus::random_sequence_into_lane(rng, &mut input_words, lane);
+        }
         if let Some((lane, cycle)) = first_mismatching_lane(
             &mut orig_sim,
             &mut lock_sim,
@@ -160,7 +160,7 @@ pub fn key_restores_function<R: Rng + ?Sized>(
         )? {
             return Ok(Some(Counterexample {
                 key: key.to_vec(),
-                inputs: drawn[lane].clone(),
+                inputs: packed::unpack_lane(&input_words, lane),
                 cycle,
             }));
         }

@@ -11,8 +11,9 @@
 //!
 //! Both estimators run on the 64-lane [`crate::packed`] engine: the samples
 //! of a configuration are packed into ⌈samples/64⌉ word-parallel runs, with
-//! one `(input, key)` pair per lane. The stimuli are drawn from the RNG in
-//! exactly the per-sample order of the scalar reference implementations
+//! one `(input, key)` pair per lane. The stimuli are drawn from the RNG
+//! straight into the lanes of the packed words
+//! ([`stimulus::random_sequence_into_lane`]), in exactly the per-sample order of the scalar reference implementations
 //! ([`estimate_fc_scalar`], [`estimate_fc_for_key_scalar`]), so packed and
 //! scalar estimates agree **exactly** for the same seed — a property the
 //! differential test suite pins on every benchmark profile.
@@ -23,7 +24,7 @@ use netlist::Netlist;
 
 use crate::packed::{self, PackedSimulator, LANES};
 use crate::simulator::{check_same_interface, SimError, Simulator};
-use crate::stimulus::{self, Sequence};
+use crate::stimulus;
 
 /// Result of an FC estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,22 +125,22 @@ pub fn estimate_fc<R: Rng + ?Sized>(
     let mut lock_sim = PackedSimulator::new(locked)?;
     check_same_interface(original, locked)?;
     let width = original.num_inputs();
+    let mut key_words = vec![vec![0u64; width]; kappa];
+    let mut input_words = vec![vec![0u64; width]; cycles];
     let mut mismatches = 0usize;
     let mut done = 0usize;
     while done < samples {
         let lanes = (samples - done).min(LANES);
         // Draw per sample in the scalar reference order: key, then inputs.
-        let mut keys = Vec::with_capacity(lanes);
-        let mut inputs = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            keys.push(stimulus::random_sequence(rng, width, kappa));
-            inputs.push(stimulus::random_sequence(rng, width, cycles));
+        for lane in 0..lanes {
+            stimulus::random_sequence_into_lane(rng, &mut key_words, lane);
+            stimulus::random_sequence_into_lane(rng, &mut input_words, lane);
         }
         let corrupted = corrupted_lanes(
             &mut orig_sim,
             &mut lock_sim,
-            &packed::pack_sequences(&keys),
-            &packed::pack_sequences(&inputs),
+            &key_words,
+            &input_words,
             lanes,
         )?;
         mismatches += corrupted.count_ones() as usize;
@@ -208,18 +209,19 @@ pub fn estimate_fc_for_key<R: Rng + ?Sized>(
     check_same_interface(original, locked)?;
     let width = original.num_inputs();
     let key_words = packed::broadcast_sequence(key);
+    let mut input_words = vec![vec![0u64; width]; cycles];
     let mut mismatches = 0usize;
     let mut done = 0usize;
     while done < samples {
         let lanes = (samples - done).min(LANES);
-        let inputs: Vec<Sequence> = (0..lanes)
-            .map(|_| stimulus::random_sequence(rng, width, cycles))
-            .collect();
+        for lane in 0..lanes {
+            stimulus::random_sequence_into_lane(rng, &mut input_words, lane);
+        }
         let corrupted = corrupted_lanes(
             &mut orig_sim,
             &mut lock_sim,
             &key_words,
-            &packed::pack_sequences(&inputs),
+            &input_words,
             lanes,
         )?;
         mismatches += corrupted.count_ones() as usize;

@@ -6,11 +6,14 @@
 //!   combinational cloud in topological order, then clock every register).
 //!   This is the *reference model*: one `bool` per net per cycle.
 //! * [`packed`] / [`PackedSimulator`] — the production Monte-Carlo engine:
-//!   64 independent simulation lanes packed into one `u64` per net, gates
-//!   evaluated with bitwise word operations. Everything that samples many
-//!   executions (FC estimation, randomized equivalence, candidate-key
-//!   validation) runs on this engine; the scalar simulator remains the
-//!   oracle it is differential-tested against (`tests/packed_vs_scalar.rs`).
+//!   64 independent simulation lanes packed into one `u64` per net. Each
+//!   netlist is compiled once into a flat tape: nets renumbered into dense
+//!   slots, wide gates chained through temporary slots, and every
+//!   instruction evaluated with bitwise word operations and no
+//!   opcode-dependent branch. Everything that samples many executions (FC
+//!   estimation, randomized equivalence, candidate-key validation) runs on
+//!   this engine; the scalar simulator remains the oracle it is
+//!   differential-tested against (`tests/packed_vs_scalar.rs`).
 //! * [`stimulus`] — deterministic pseudo-random input/key sequence generation.
 //! * [`fc`] — Monte-Carlo estimation of the *functional corruptibility* of a
 //!   locked circuit (paper Eq. 1), mirroring the 800-sample VCS protocol used

